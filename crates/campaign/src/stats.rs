@@ -561,35 +561,29 @@ impl Aggregate {
     /// fields render an empty array, so the section is always present and
     /// machine-checkable.
     pub fn render_explain_json(&self, indent: &str) -> String {
-        let explain: Vec<_> = self
+        self.render_fields(indent, true)
+    }
+
+    /// Renders every other field's aggregate as a JSON array (one object
+    /// per field, schema order) — the `"fields"` section of
+    /// `summary.json`. `explain_*` fields appear only in
+    /// [`Aggregate::render_explain_json`], never twice.
+    pub fn render_json(&self, indent: &str) -> String {
+        self.render_fields(indent, false)
+    }
+
+    fn render_fields(&self, indent: &str, explain: bool) -> String {
+        let mut fields = self
             .schema
             .iter()
             .zip(&self.fields)
-            .filter(|(f, _)| f.name.starts_with("explain_"))
-            .collect();
-        if explain.is_empty() {
+            .filter(|(f, _)| f.name.starts_with("explain_") == explain)
+            .peekable();
+        if fields.peek().is_none() {
             return "[]".into();
         }
         let mut out = String::from("[");
-        for (i, (field, (agg, nulls))) in explain.into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('\n');
-            out.push_str(indent);
-            render_field_json(&mut out, field, agg, *nulls);
-        }
-        out.push('\n');
-        out.push_str(&indent[..indent.len().saturating_sub(2)]);
-        out.push(']');
-        out
-    }
-
-    /// Renders the per-field aggregates as a JSON array (one object per
-    /// field, schema order) — the `"fields"` section of `summary.json`.
-    pub fn render_json(&self, indent: &str) -> String {
-        let mut out = String::from("[");
-        for (i, (field, (agg, nulls))) in self.schema.iter().zip(&self.fields).enumerate() {
+        for (i, (field, (agg, nulls))) in fields.enumerate() {
             if i > 0 {
                 out.push(',');
             }

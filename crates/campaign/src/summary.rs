@@ -171,8 +171,8 @@ impl Summary {
         }
         // "explain" sits between "coverage" and "fields": after the
         // top-level "digest" (CI greps the first occurrence) and before
-        // the full per-field dump, so explain-only consumers can stop
-        // reading early.
+        // the per-field dump, so explain-only consumers can stop reading
+        // early. Its fields are not repeated under "fields".
         out.push_str("\n  ],\n  \"explain\": ");
         out.push_str(&self.aggregate.render_explain_json("    "));
         out.push_str(",\n  \"fields\": ");

@@ -254,6 +254,41 @@ fn table2_explain_section_is_identical_across_modes() {
     assert_eq!(jsons[1], *baseline, "explain section diverged between exec modes");
 }
 
+/// Each `explain_*` field is rendered once, in the `"explain"` section,
+/// and never again under `"fields"`.
+#[test]
+fn table2_explain_fields_appear_exactly_once() {
+    let scenario = registry::find("table2").expect("registered");
+    let dir = tmp_dir("explain-once");
+    let config = CampaignConfig::in_process(scenario, Scale::quick(), 1, dir.clone());
+    run_campaign(&config).expect("campaign runs");
+    let json = std::fs::read_to_string(checkpoint::summary_path(&dir)).expect("summary.json");
+    std::fs::remove_dir_all(dir).ok();
+    let explain_at = json.find("\"explain\":").expect("explain section");
+    let fields_at = json.find("\"fields\":").expect("fields section");
+    let explain_names: Vec<&str> = scenario
+        .schema
+        .iter()
+        .map(|f| f.name)
+        .filter(|name| name.starts_with("explain_"))
+        .collect();
+    assert!(!explain_names.is_empty(), "table2 declares explain fields");
+    for name in explain_names {
+        let needle = format!("\"field\": \"{name}\"");
+        let hits: Vec<usize> = json.match_indices(&needle).map(|(at, _)| at).collect();
+        assert_eq!(hits.len(), 1, "{name} must appear exactly once:\n{json}");
+        assert!(
+            (explain_at..fields_at).contains(&hits[0]),
+            "{name} must sit in the explain section, not under fields"
+        );
+    }
+    // Every non-explain field is still listed under "fields".
+    for field in scenario.schema.iter().filter(|f| !f.name.starts_with("explain_")) {
+        let needle = format!("\"field\": \"{}\"", field.name);
+        assert!(json[fields_at..].contains(&needle), "{} missing from fields", field.name);
+    }
+}
+
 /// The summary JSON artifact is well-formed (the same validator CI uses
 /// for the BENCH artifacts) and carries the digest.
 #[test]
@@ -267,4 +302,37 @@ fn summary_json_is_well_formed() {
     assert!(json.contains(&summary.digest));
     assert_eq!(json, summary.render_json());
     std::fs::remove_dir_all(dir).ok();
+}
+
+/// Every registry scenario's quick-scale campaign digest, pinned across
+/// commits. A refactor that claims to change no simulation logic must
+/// leave each one bit-identical; a change that moves one on purpose
+/// updates the table and says which behaviour changed and why.
+const GOLDEN_QUICK_DIGESTS: [(&str, &str); 10] = [
+    ("table1", "07bc8e0c7ab789b9"),
+    ("table2", "30af30c75d7c41fb"),
+    ("fig5", "395f98cbaf5e45d4"),
+    ("fig6", "5b146221803ea97b"),
+    ("fig7", "5b146221803ea97b"),
+    ("table4_snoop", "5b146221803ea97b"),
+    ("table5_adstudy", "231a26359cebfe14"),
+    ("ratelimit", "837b0046ea00db3e"),
+    ("pmtud", "d57c7c75648a3689"),
+    ("chronos_bound", "04f9eff29b5fd8b5"),
+];
+
+#[test]
+fn golden_quick_digests_are_pinned() {
+    let pinned: Vec<&str> = GOLDEN_QUICK_DIGESTS.iter().map(|(name, _)| *name).collect();
+    let registered: Vec<&str> = registry::all().iter().map(|s| s.name).collect();
+    assert_eq!(pinned, registered, "every registry scenario carries exactly one golden digest");
+    let mut diverged = Vec::new();
+    for (name, golden) in GOLDEN_QUICK_DIGESTS {
+        let scenario = registry::find(name).expect("registered");
+        let digest = digest_of(scenario, Scale::quick(), 1, ExecMode::InProcess, name);
+        if digest != golden {
+            diverged.push(format!("{name}: {digest} (golden {golden})"));
+        }
+    }
+    assert!(diverged.is_empty(), "campaign digests moved:\n{}", diverged.join("\n"));
 }

@@ -5,7 +5,6 @@
 
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
-use serde::Serialize;
 
 /// Fraction of `pool.ntp.org` servers that rate limit, as measured in
 /// §VII-A (38 %).
@@ -53,7 +52,7 @@ pub fn table3_n(m: u32) -> u32 {
 }
 
 /// A row of Table III.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Table3Row {
     /// Number of associations.
     pub m: u32,

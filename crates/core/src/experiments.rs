@@ -1,6 +1,6 @@
 //! One function per table and figure of the paper's evaluation. Each
 //! returns a typed report whose `Display` prints rows in the paper's
-//! layout; the Criterion benches and the examples call these.
+//! layout; the examples and the integration tests call these.
 
 use core::fmt;
 
@@ -8,7 +8,6 @@ use attack::prelude::RuntimeScenario;
 use measure::prelude::*;
 use netsim::time::SimDuration;
 use ntp::prelude::{ClientKind, ClientProfile};
-use serde::Serialize;
 
 use crate::analysis::{self, Table3Row, P_RATE};
 use crate::runner::TrialRunner;
@@ -16,7 +15,7 @@ use crate::scenario::{run_boot_time_attack, run_runtime_attack, AttackOutcome, S
 
 /// Sizing knobs for the measurement experiments: `quick` for tests and CI,
 /// `paper` for full-scale regeneration.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Scale {
     /// Open resolvers surveyed (paper: 1 583 045 probed / 646 212 verified).
     pub resolvers: usize,
@@ -120,7 +119,7 @@ impl Scale {
 // ---------------------------------------------------------------- Table I
 
 /// One Table I row.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table1Row {
     /// Client name.
     pub client: &'static str,
@@ -188,7 +187,7 @@ pub fn format_table1(rows: &[Table1Row]) -> String {
 // --------------------------------------------------------------- Table II
 
 /// One Table II row.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table2Row {
     /// Client under attack.
     pub client: &'static str,
@@ -460,7 +459,7 @@ pub fn format_fig5(result: &PmtudScanResult) -> String {
 // ------------------------------------------------------- Chronos (§VI-C)
 
 /// One row of the Chronos bound sweep.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ChronosBoundRow {
     /// Honest lookups completed before poisoning.
     pub n: u32,
@@ -569,7 +568,7 @@ pub fn format_shared(result: &SharedScanResult) -> String {
 // -------------------------------------------------------- §IV-A analysis
 
 /// The boot-time fragment budget report.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct BootBudget {
     /// Fragments per attack window on Linux (30 s timeout).
     pub linux: u32,

@@ -10,7 +10,6 @@ use chronos::prelude::*;
 use dns::prelude::*;
 use netsim::prelude::*;
 use ntp::prelude::*;
-use serde::Serialize;
 
 /// Well-known addresses of a scenario.
 #[derive(Debug, Clone)]
@@ -259,7 +258,7 @@ impl Scenario {
 }
 
 /// The result of an attack run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AttackOutcome {
     /// Whether the victim's clock ended up within 1 s of the target shift.
     pub success: bool,
@@ -379,7 +378,7 @@ pub fn run_runtime_attack(
 }
 
 /// Outcome of the Chronos pool-poisoning attack (§VI).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ChronosOutcome {
     /// Honest DNS lookups completed before the poisoning landed.
     pub honest_lookups_before: u32,

@@ -16,7 +16,6 @@ use dns::record::RecordType;
 use dns::resolver::{Resolver, ResolverConfig};
 use netsim::prelude::*;
 use rand::RngExt;
-use serde::Serialize;
 
 use crate::fragns::FragmentingNs;
 use crate::population::{AdClientSpec, Region};
@@ -26,7 +25,7 @@ pub const TESTS: [&str; 7] =
     ["baseline", "ftiny", "fsmall", "fmedium", "fbig", "sigfail", "sigright"];
 
 /// One client's test outcomes (true = "image loaded").
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClientResult {
     /// Outcomes parallel to [`TESTS`].
     pub loaded: [bool; 7],
@@ -56,7 +55,7 @@ impl ClientResult {
 }
 
 /// A Table V row.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table5Row {
     /// Row label ("Asia", "ALL", "PC", …).
     pub label: String,
@@ -78,7 +77,7 @@ impl Table5Row {
 }
 
 /// Aggregate study result.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AdStudyResult {
     /// Rows in Table V order: regions, ALL, Without Google, PC, Mobile.
     pub rows: Vec<Table5Row>,

@@ -19,12 +19,11 @@ use netsim::ipv4::Ipv4Packet;
 use netsim::prelude::*;
 use netsim::udp::UdpDatagram;
 use rand::RngExt;
-use serde::Serialize;
 
 use crate::population::NameserverSpec;
 
 /// Per-nameserver scan outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PmtudVerdict {
     /// Largest fragment size observed (None: response arrived whole).
     pub min_fragment_size: Option<u16>,
@@ -47,7 +46,7 @@ impl PmtudVerdict {
 }
 
 /// Aggregate Fig. 5 / §VII-B result.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PmtudScanResult {
     /// Nameservers scanned.
     pub scanned: usize,

@@ -22,7 +22,6 @@
 
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
-use serde::Serialize;
 
 /// The RNG for population item `idx` under `seed`: its own deterministic
 /// stream, fully decorrelated from neighbouring indices by the splitmix64
@@ -59,7 +58,7 @@ fn permute_index(n: usize, seed: u64, idx: usize) -> usize {
 }
 
 /// One NTP pool server's behaviour (§VII-A population).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PoolServerSpec {
     /// Whether the server rate limits at a 1 Hz query rate.
     pub rate_limits: bool,
@@ -88,7 +87,7 @@ pub fn pool_servers(n: usize, seed: u64) -> Vec<PoolServerSpec> {
 pub const POOL_SCAN_SIZE: usize = 2432;
 
 /// A domain's nameserver PMTUD behaviour (Fig. 5 population).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NameserverSpec {
     /// Whether ICMP frag-needed is honoured at all.
     pub honours_pmtud: bool,
@@ -173,7 +172,7 @@ pub fn pool_nameservers(seed: u64) -> Vec<NameserverSpec> {
 }
 
 /// An open resolver's state for the Table IV / Fig. 6 / Fig. 7 scans.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpenResolverSpec {
     /// Whether the resolver honours RD=0 (cache-only) semantics; the scan's
     /// verification step excludes those that do not.
@@ -219,7 +218,7 @@ pub fn open_resolvers(n: usize, seed: u64) -> Vec<OpenResolverSpec> {
 }
 
 /// Regions of the ad study (Table V).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Region {
     /// Asia (dataset 1).
     Asia,
@@ -302,7 +301,7 @@ impl Region {
 }
 
 /// An ad-study client: its region, device class and resolver behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdClientSpec {
     /// Geographic region.
     pub region: Region,
@@ -397,7 +396,7 @@ pub fn ad_clients_scaled(seed: u64, scale: f64) -> Vec<AdClientSpec> {
 }
 
 /// A web-client resolver for the §VIII-B3 shared-resolver study.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SharedResolverSpec {
     /// An SMTP server in the same /24 uses this resolver.
     pub smtp_shares: bool,

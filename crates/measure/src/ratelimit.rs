@@ -12,12 +12,11 @@ use netsim::prelude::*;
 use ntp::packet::{peek_mode, ControlMessage, NtpMode, NtpPacket, NTP_PORT};
 use ntp::server::{NtpServer, RateLimitConfig};
 use ntp::timestamp::NtpTimestamp;
-use serde::Serialize;
 
 use crate::population::PoolServerSpec;
 
 /// Per-server scan classification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerVerdict {
     /// Responses in the first 32 queries.
     pub first_half: u32,
@@ -37,7 +36,7 @@ impl ServerVerdict {
 }
 
 /// Aggregate result of the scan.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RateLimitScanResult {
     /// Servers scanned.
     pub scanned: usize,

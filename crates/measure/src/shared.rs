@@ -19,12 +19,11 @@ use dns::resolver::{Resolver, ResolverConfig};
 use dns::stub::StubResolver;
 use dns::zone::Zone;
 use netsim::prelude::*;
-use serde::Serialize;
 
 use crate::population::SharedResolverSpec;
 
 /// Aggregate §VIII-B3 result.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SharedScanResult {
     /// Total web-client resolvers considered.
     pub total: usize,

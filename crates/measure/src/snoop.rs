@@ -23,7 +23,6 @@ use dns::resolver::{Resolver, ResolverConfig};
 use dns::zone::{pool_zone, Zone};
 use netsim::prelude::*;
 use rand::RngExt;
-use serde::Serialize;
 
 use crate::fragns::FragmentingNs;
 use crate::population::OpenResolverSpec;
@@ -39,7 +38,7 @@ pub fn probed_records() -> Vec<(Name, RecordType)> {
 }
 
 /// Per-resolver outcome.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResolverOutcome {
     /// The RD verification succeeded (resolver is measurable).
     pub verified: bool,
@@ -67,7 +66,7 @@ impl ResolverOutcome {
 }
 
 /// Aggregate survey result.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SurveyResult {
     /// Resolvers probed.
     pub probed: usize,

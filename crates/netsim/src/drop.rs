@@ -14,7 +14,7 @@
 /// The numeric code (`as u16`) rides trace events as the
 /// [`obs::kind::DROP`] operand, so a dumped flight-recorder ring names the
 /// same taxonomy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u16)]
 pub enum DropReason {
     /// The host's OS profile does not accept fragments at all.
@@ -80,7 +80,7 @@ impl DropReason {
 /// Plain named `u64` fields (not a map): bumping one is a single add on the
 /// hot path, the struct is `Copy` for O(1) stats snapshots, and
 /// serialization names every reason even when zero.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DropCounts {
     /// [`DropReason::NoFragSupport`] drops.
     pub no_frag_support: u64,

@@ -116,7 +116,7 @@ impl FragKey {
 /// surviving, which holds under [`DuplicatePolicy::FirstWins`] (the planted
 /// fragment arrives *before* the real one). The alternative is provided for
 /// the ablation study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DuplicatePolicy {
     /// Keep the earlier-arrived fragment (classic BSD/Linux behaviour).
     #[default]
@@ -126,7 +126,7 @@ pub enum DuplicatePolicy {
 }
 
 /// Tuning knobs of a [`DefragCache`], matching an OS profile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DefragConfig {
     /// How long incomplete reassemblies are retained. Linux: 30 s;
     /// Windows: 60–120 s; RFC 2460 suggests 60 s (paper §IV-A).

@@ -6,8 +6,6 @@
 //! honoured and down to what MTU, and whether fragmented datagrams are
 //! accepted at all (some resolvers/middleboxes drop them).
 
-use serde::{Deserialize, Serialize};
-
 use crate::frag::{DefragConfig, DuplicatePolicy};
 use crate::time::SimDuration;
 
@@ -15,7 +13,7 @@ use crate::time::SimDuration;
 ///
 /// Predictable IPIDs are a prerequisite of the fragment-replacement attack
 /// (§III-2); the attacker extrapolates the counter from probe responses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IpidMode {
     /// A single global counter incremented per packet (classic behaviour,
     /// trivially predictable).
@@ -40,7 +38,7 @@ impl Default for IpidMode {
 }
 
 /// Whether and how a host reacts to ICMP fragmentation-needed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PmtudPolicy {
     /// Honour ICMP frag-needed at all. Hosts that ignore it never fragment
     /// (the "no PMTUD" population of Fig. 5).
@@ -77,7 +75,7 @@ impl PmtudPolicy {
 }
 
 /// A complete OS network-stack profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OsProfile {
     /// Human-readable name ("linux", "windows", ...).
     pub name: String,

@@ -793,7 +793,7 @@ impl<'a> Ctx<'a> {
 }
 
 /// Aggregate counters, useful for assertions in tests and experiments.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// IPv4 packets (incl. fragments) put on the wire.
     pub packets_sent: u64,
@@ -863,24 +863,6 @@ struct HostSlot {
 // callbacks and the packet/datagram structs move wire → stack → host, so
 // the `Bytes` diet (72 → 24 B) must show up here too or it bought nothing.
 const _: () = assert!(std::mem::size_of::<Datagram>() <= 40, "Datagram grew past 40 bytes");
-
-/// Sizes of the types moved per event on the hot path, including the
-/// crate-private dispatch enums and slab slot: the bench records these in
-/// `BENCH_engine.json` so layout regressions are visible in the perf
-/// trajectory, not just as a compile error.
-pub fn hot_struct_sizes() -> [(&'static str, usize); 8] {
-    use std::mem::size_of;
-    [
-        ("Bytes", size_of::<Bytes>()),
-        ("Ipv4Packet", size_of::<Ipv4Packet>()),
-        ("UdpDatagram", size_of::<UdpDatagram>()),
-        ("Datagram", size_of::<Datagram>()),
-        ("Action", size_of::<Action>()),
-        ("EventKind", size_of::<EventKind>()),
-        ("StackHot", size_of::<StackHot>()),
-        ("HostSlot", size_of::<HostSlot>()),
-    ]
-}
 
 /// The deterministic discrete-event simulator.
 ///

@@ -7,8 +7,6 @@
 use core::fmt;
 use core::ops::{Add, AddAssign, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// An instant on the simulated timeline, in nanoseconds since simulation
 /// start.
 ///
@@ -18,9 +16,7 @@ use serde::{Deserialize, Serialize};
 /// let t = SimTime::ZERO + SimDuration::from_secs(3);
 /// assert_eq!(t.as_secs_f64(), 3.0);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulated time, in nanoseconds.
@@ -30,9 +26,7 @@ pub struct SimTime(u64);
 ///
 /// assert_eq!(SimDuration::from_millis(1500), SimDuration::from_micros(1_500_000));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {

@@ -37,8 +37,7 @@ pub const HOT_ENUMS: &[(&str, &[&str])] =
 /// Structs on the hot list with explicit byte budgets (R6): every one
 /// must have a compile-time `size_of::<Name>() <= N` assertion in its
 /// crate with `N` no larger than the budget here. These are the types the
-/// event loop moves per event; the budgets are the cache-shape contract
-/// `BENCH_engine.json` records `ns_per_move` against.
+/// event loop moves per event; the budgets are its cache-shape contract.
 /// Format: (crate directory, [(struct name, max bytes)]).
 pub const HOT_STRUCTS: &[(&str, &[(&str, u64)])] = &[
     (

@@ -59,6 +59,22 @@ fn boot_time_attack_works_with_closed_resolver_too() {
 }
 
 #[test]
+fn glue_poisoning_lands_for_every_seed() {
+    // §IV-A: with an open resolver the attacker triggers the resolutions
+    // itself, so the glue falls within minutes whatever the seed.
+    for seed in 0..5 {
+        let mut scenario = Scenario::build(ScenarioConfig { seed, ..ScenarioConfig::default() });
+        scenario.launch_poisoner();
+        let at = scenario.run_until_condition(
+            SimDuration::from_secs(15),
+            SimDuration::from_mins(30),
+            |s| s.poisoner().map(OffPathPoisoner::glue_poisoned).unwrap_or(false),
+        );
+        assert!(at.is_some(), "seed {seed}: glue not poisoned within 30 min");
+    }
+}
+
+#[test]
 fn attack_fails_without_fragmentation_support() {
     // Ablation: nameservers that ignore ICMP frag-needed never fragment,
     // so there is no second fragment to replace.

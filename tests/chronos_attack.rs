@@ -36,7 +36,8 @@ fn chronos_survives_when_poisoning_lands_after_lookup_12() {
         }
         let malicious: Vec<std::net::Ipv4Addr> =
             (1..=89u32).map(|i| std::net::Ipv4Addr::from(0x4242_0100 + i)).collect();
-        generator.absorb(&malicious, 2 * 86_400);
+        // Without sanity checks one response lands all 89 addresses.
+        assert_eq!(generator.absorb(&malicious, 2 * 86_400), 89, "N={n}: unchecked pool");
         // All later lookups are served from cache: the pool is frozen.
         let fraction = generator.fraction_in(|a| a.octets()[0] == 0x42);
         let expected_success = n <= 11;

@@ -203,3 +203,129 @@ proptest! {
         prop_assert!(outcome.success, "seed {}: {:?}", seed, outcome);
     }
 }
+
+/// A valid DNS response as the attack sees it on the wire: the pool
+/// zone's answer to an A query for `pool.ntp.org`, with authority and
+/// glue, optionally DNSSEC-signed.
+fn pool_response_wire(servers: u8, ns_count: usize, signed: bool, txid: u16, seed: u64) -> Vec<u8> {
+    use rand::SeedableRng;
+    let addrs = (1..=u32::from(servers)).map(|i| std::net::Ipv4Addr::from(0xC000_0200 + i));
+    let mut zone = pool_zone(addrs.collect(), ns_count, std::net::Ipv4Addr::new(198, 51, 100, 1));
+    if signed {
+        zone = zone.with_key(ZoneKey(7));
+    }
+    let mut server = AuthServer::new(vec![zone]);
+    let query = Message::query(txid, "pool.ntp.org".parse().unwrap(), RecordType::A, false);
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+    server.answer(&query, &mut rng).encode().unwrap().to_vec()
+}
+
+/// A valid NTP mode-4 response.
+fn ntp_response_wire(bits: u64, stratum: u8) -> Vec<u8> {
+    let ts = NtpTimestamp::from_bits(bits);
+    let req = NtpPacket::client_request(ts);
+    NtpPacket::server_response(&req, stratum, [1, 2, 3, 4], ts, ts).encode().to_vec()
+}
+
+/// A valid mode-6 peers response.
+fn control_wire(peers: &[u32]) -> Vec<u8> {
+    let peers = peers.iter().map(|p| std::net::Ipv4Addr::from(*p)).collect();
+    ControlMessage::PeersResponse(peers).encode().to_vec()
+}
+
+/// Feeds `wire` to the DNS decoders. Neither may panic; a message that
+/// decodes must re-encode, and decoding that encoding must give the same
+/// message back (decode∘encode∘decode = decode) with a record walk that
+/// sees every record.
+fn check_dns(wire: &[u8]) -> Result<(), TestCaseError> {
+    let _ = walk_records(wire);
+    let Ok(first) = Message::decode(wire) else { return Ok(()) };
+    let again = first.encode();
+    prop_assert!(again.is_ok(), "decoded message fails to re-encode: {:?}", again);
+    let again = again.unwrap();
+    let second = Message::decode(&again);
+    prop_assert_eq!(second.as_ref().ok(), Some(&first));
+    let spans = walk_records(&again);
+    let records = first.answers.len() + first.authorities.len() + first.additionals.len();
+    prop_assert_eq!(spans.map(|s| s.len()).ok(), Some(records));
+    Ok(())
+}
+
+/// Feeds `wire` to the NTP decoders. Neither may panic. A packet that
+/// decodes re-encodes to exactly the 48 bytes it came from; a control
+/// message that decodes reaches a fixed point after one re-encode.
+fn check_ntp(wire: &[u8]) -> Result<(), TestCaseError> {
+    if let Ok(packet) = NtpPacket::decode(wire) {
+        let again = packet.encode();
+        prop_assert_eq!(&again[..], &wire[..48]);
+        prop_assert_eq!(NtpPacket::decode(&again).ok(), Some(packet));
+    }
+    if let Ok(control) = ControlMessage::decode(wire) {
+        let again = control.encode();
+        prop_assert_eq!(ControlMessage::decode(&again).ok(), Some(control));
+    }
+    Ok(())
+}
+
+/// Overwrites bytes of `wire` at the given (position, value) pairs.
+fn mutate(mut wire: Vec<u8>, edits: &[(usize, u8)]) -> Vec<u8> {
+    if !wire.is_empty() {
+        let len = wire.len();
+        for &(at, byte) in edits {
+            wire[at % len] = byte;
+        }
+    }
+    wire
+}
+
+proptest! {
+    /// Attacker-controlled bytes: no input makes a decoder panic.
+    #[test]
+    fn decoders_are_total_on_arbitrary_bytes(
+        wire in proptest::collection::vec(any::<u8>(), 0..600),
+    ) {
+        check_dns(&wire)?;
+        check_ntp(&wire)?;
+    }
+
+    /// Every prefix of a valid datagram — what a lost or replaced tail
+    /// fragment leaves — is handled without panicking.
+    #[test]
+    fn decoders_are_total_on_truncated_valid_input(
+        servers in 1u8..40,
+        ns_count in 1usize..24,
+        signed in any::<bool>(),
+        txid in any::<u16>(),
+        seed in any::<u64>(),
+        bits in any::<u64>(),
+        peers in proptest::collection::vec(any::<u32>(), 0..20),
+        cut in any::<usize>(),
+    ) {
+        let dns = pool_response_wire(servers, ns_count, signed, txid, seed);
+        check_dns(&dns[..cut % (dns.len() + 1)])?;
+        let ntp = ntp_response_wire(bits, 2);
+        check_ntp(&ntp[..cut % (ntp.len() + 1)])?;
+        let control = control_wire(&peers);
+        check_ntp(&control[..cut % (control.len() + 1)])?;
+    }
+
+    /// Valid datagrams with a few bytes overwritten — counts, lengths,
+    /// compression pointers, mode bits — are handled without panicking,
+    /// and whatever still decodes round-trips.
+    #[test]
+    fn decoders_are_total_on_mutated_valid_input(
+        servers in 1u8..40,
+        ns_count in 1usize..24,
+        signed in any::<bool>(),
+        txid in any::<u16>(),
+        seed in any::<u64>(),
+        bits in any::<u64>(),
+        stratum in any::<u8>(),
+        peers in proptest::collection::vec(any::<u32>(), 0..20),
+        edits in proptest::collection::vec((any::<usize>(), any::<u8>()), 1..8),
+    ) {
+        check_dns(&mutate(pool_response_wire(servers, ns_count, signed, txid, seed), &edits))?;
+        check_ntp(&mutate(ntp_response_wire(bits, stratum), &edits))?;
+        check_ntp(&mutate(control_wire(&peers), &edits))?;
+    }
+}
