@@ -125,7 +125,6 @@ pub struct PoisonStats {
 #[derive(Debug, Default)]
 struct TargetState {
     predictor: IpidPredictor,
-    observed: Option<Vec<u8>>,
     tail: Option<ForgedTail>,
 }
 
@@ -322,17 +321,13 @@ impl PoisonPipeline {
                     return true;
                 }
                 if let Some(state) = self.targets.get_mut(&d.src) {
-                    let bytes = d.payload.to_vec();
-                    if state.observed.as_deref() != Some(bytes.as_slice()) {
-                        state.tail =
-                            forge_tail(&bytes, self.config.forced_mtu, self.config.attacker_ns)
-                                .ok();
-                        if let Some(tail) = &state.tail {
-                            if self.check_name.is_none() {
-                                self.check_name = tail.poisoned_names.first().cloned();
-                            }
+                    state.tail =
+                        forge_tail(&d.payload, self.config.forced_mtu, self.config.attacker_ns)
+                            .ok();
+                    if let Some(tail) = &state.tail {
+                        if self.check_name.is_none() {
+                            self.check_name = tail.poisoned_names.first().cloned();
                         }
-                        state.observed = Some(bytes);
                     }
                 }
                 true

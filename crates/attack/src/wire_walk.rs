@@ -57,7 +57,10 @@ pub fn walk_records(dns_bytes: &[u8]) -> Result<Vec<RecordSpan>, DnsError> {
         pos = skip_name(dns_bytes, pos)?;
         pos += 4; // qtype + qclass
     }
-    let mut spans = Vec::new();
+    // Every record takes at least 11 bytes (a root owner and the fixed
+    // fields), so the counts cannot ask for more than the input holds.
+    let records = usize::from(ancount) + usize::from(nscount) + usize::from(arcount);
+    let mut spans = Vec::with_capacity(records.min(dns_bytes.len() / 11));
     let sections =
         [(Section::Answer, ancount), (Section::Authority, nscount), (Section::Additional, arcount)];
     for (section, count) in sections {
@@ -109,7 +112,8 @@ fn skip_name(data: &[u8], mut pos: usize) -> Result<usize, DnsError> {
 /// Reads a (possibly compressed) name, returning it and the position after
 /// the in-stream representation.
 fn read_name(data: &[u8], start: usize) -> Result<(Name, usize), DnsError> {
-    let mut labels: Vec<String> = Vec::new();
+    let mut name = Name::root();
+    let mut bad_name = None;
     let mut pos = start;
     let mut after = None;
     let mut hops = 0;
@@ -133,11 +137,16 @@ fn read_name(data: &[u8], start: usize) -> Result<(Name, usize), DnsError> {
             if pos + 1 + n > data.len() {
                 return Err(DnsError::Truncated { context: "label" });
             }
-            labels.push(String::from_utf8_lossy(&data[pos + 1..pos + 1 + n]).into_owned());
+            if bad_name.is_none() {
+                bad_name = name.push_label(&data[pos + 1..pos + 1 + n]).err();
+            }
             pos += 1 + n;
         }
     }
-    Ok((Name::from_labels(labels)?, after.unwrap_or(pos)))
+    match bad_name {
+        Some(err) => Err(err),
+        None => Ok((name, after.unwrap_or(pos))),
+    }
 }
 
 /// Convenience: the glue A records (additional-section A records) of a

@@ -100,7 +100,9 @@ fn killed_worker_resumes_to_identical_digest() {
     // The coordinator writes the manifest before spawning workers; mirror
     // that so the resume below recognises the directory as its own.
     checkpoint::check_manifest(&dir, "fig6", &scale_spec(&scale), 2).expect("manifest");
-    // Launch shard 0's worker by hand (exactly as the coordinator would).
+    // Launch shard 0's worker by hand (exactly as the coordinator would),
+    // told to stall after five records so the kill below lands mid-shard
+    // however fast the trials run.
     let mut child = Command::new(campaign_exe())
         .arg("worker")
         .arg("--scenario")
@@ -113,10 +115,12 @@ fn killed_worker_resumes_to_identical_digest() {
         .arg(checkpoint::shard_path(&dir, 0))
         .arg("--scale-spec")
         .arg(scale_spec(&scale))
+        .arg("--fault")
+        .arg("stall-after=5")
         .stdout(Stdio::piped())
         .spawn()
         .expect("spawn worker");
-    // Let it stream a few records, then kill it mid-campaign.
+    // Let it stream its five records, then kill it mid-campaign.
     {
         let stdout = child.stdout.as_mut().expect("stdout");
         let mut reader = BufReader::new(stdout);
@@ -131,7 +135,7 @@ fn killed_worker_resumes_to_identical_digest() {
     let partial = checkpoint::recover(&checkpoint::shard_path(&dir, 0), scenario.schema)
         .expect("recoverable checkpoint")
         .records();
-    assert!(partial >= 5, "at least the streamed records are checkpointed");
+    assert_eq!(partial, 5, "exactly the streamed records are checkpointed");
     assert!(partial < 30, "the kill landed mid-shard");
 
     // Resume: the coordinator picks up shard 0 at its first missing record

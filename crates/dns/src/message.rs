@@ -7,7 +7,7 @@
 //! servers do.
 
 use bytes::{BufMut, Bytes, BytesMut};
-use netsim::fasthash::FastMap;
+use netsim::fasthash::{map_with_capacity, FastMap};
 use std::net::Ipv4Addr;
 
 use crate::error::DnsError;
@@ -152,7 +152,8 @@ impl Message {
     ///
     /// Returns [`DnsError::Oversize`] if the result exceeds 65 535 bytes.
     pub fn encode(&self) -> Result<Bytes, DnsError> {
-        let mut enc = Encoder::new();
+        let records = self.answers.len() + self.authorities.len() + self.additionals.len();
+        let mut enc = Encoder::new(self.questions.len() + records);
         enc.buf.put_u16(self.header.id);
         let mut flags: u16 = 0;
         if self.header.qr {
@@ -221,7 +222,10 @@ impl Message {
             ad: flags & 0x0020 != 0,
             rcode: Rcode::from_code(flags as u8),
         };
-        let mut questions = Vec::with_capacity(usize::from(qdcount));
+        // Counts are untrusted: reserve no more entries than the input could
+        // hold (a question takes at least 5 bytes, a record at least 11).
+        let room = |count: u16, min_len: usize| usize::from(count).min(data.len() / min_len);
+        let mut questions = Vec::with_capacity(room(qdcount, 5));
         for _ in 0..qdcount {
             let name = dec.read_name()?;
             let qtype = RecordType::from_code(dec.u16()?);
@@ -229,7 +233,7 @@ impl Message {
             questions.push(Question { name, qtype });
         }
         let read_section = |dec: &mut Decoder<'_>, count: u16| -> Result<Vec<Record>, DnsError> {
-            let mut out = Vec::with_capacity(usize::from(count));
+            let mut out = Vec::with_capacity(room(count, 11));
             for _ in 0..count {
                 out.push(dec.read_record()?);
             }
@@ -242,36 +246,38 @@ impl Message {
     }
 }
 
-struct Encoder {
+struct Encoder<'a> {
     buf: BytesMut,
-    // Canonical dotted suffix -> offset of its first occurrence.
-    offsets: FastMap<String, u16>,
+    // Wire suffix of a name already written -> offset of its first
+    // occurrence. Keys borrow the message's own names.
+    offsets: FastMap<&'a [u8], u16>,
 }
 
-impl Encoder {
-    fn new() -> Self {
-        Encoder { buf: BytesMut::with_capacity(512), offsets: FastMap::default() }
+impl<'a> Encoder<'a> {
+    fn new(names: usize) -> Self {
+        Encoder { buf: BytesMut::with_capacity(512), offsets: map_with_capacity(names.min(64)) }
     }
 
-    fn put_name(&mut self, name: &Name) {
-        let labels = name.labels();
-        for i in 0..labels.len() {
-            let suffix = labels[i..].join(".");
-            if let Some(&off) = self.offsets.get(&suffix) {
+    fn put_name(&mut self, name: &'a Name) {
+        let wire = name.wire();
+        let mut pos = 0;
+        while pos < wire.len() {
+            let suffix = &wire[pos..];
+            if let Some(&off) = self.offsets.get(suffix) {
                 self.buf.put_u16(0xC000 | off);
                 return;
             }
             if self.buf.len() < 0x3FFF {
                 self.offsets.insert(suffix, self.buf.len() as u16);
             }
-            let label = &labels[i];
-            self.buf.put_u8(label.len() as u8);
-            self.buf.put_slice(label.as_bytes());
+            let end = pos + 1 + usize::from(wire[pos]);
+            self.buf.put_slice(&wire[pos..end]);
+            pos = end;
         }
         self.buf.put_u8(0);
     }
 
-    fn put_record(&mut self, record: &Record) -> Result<(), DnsError> {
+    fn put_record(&mut self, record: &'a Record) -> Result<(), DnsError> {
         self.put_name(&record.name);
         self.buf.put_u16(record.rtype().code());
         // Class: IN for everything except OPT, where EDNS0 reuses the class
@@ -305,10 +311,7 @@ impl Encoder {
             RData::Rrsig { type_covered, signer, signature } => {
                 self.buf.put_u16(type_covered.code());
                 // Signer name, uncompressed per RFC 4034 §3.1.7.
-                for label in signer.labels() {
-                    self.buf.put_u8(label.len() as u8);
-                    self.buf.put_slice(label.as_bytes());
-                }
+                self.buf.put_slice(signer.wire());
                 self.buf.put_u8(0);
                 self.buf.put_u64(*signature);
             }
@@ -453,9 +456,11 @@ impl<'a> Decoder<'a> {
 }
 
 /// Reads a possibly-compressed name starting at `pos`; returns the name and
-/// the position just after it (in the un-followed stream).
+/// the position just after it (in the un-followed stream). Malformed wire
+/// structure is reported ahead of an over-long name or label.
 fn read_name_at(data: &[u8], mut pos: usize) -> Result<(Name, usize), DnsError> {
-    let mut labels: Vec<String> = Vec::new();
+    let mut name = Name::root();
+    let mut bad_name = None;
     let mut next_after = None;
     let mut hops = 0;
     loop {
@@ -485,12 +490,16 @@ fn read_name_at(data: &[u8], mut pos: usize) -> Result<(Name, usize), DnsError> 
             if pos + 1 + len > data.len() {
                 return Err(DnsError::Truncated { context: "label" });
             }
-            labels.push(String::from_utf8_lossy(&data[pos + 1..pos + 1 + len]).into_owned());
+            if bad_name.is_none() {
+                bad_name = name.push_label(&data[pos + 1..pos + 1 + len]).err();
+            }
             pos += 1 + len;
         }
     }
-    let name = Name::from_labels(labels)?;
-    Ok((name, next_after.unwrap_or(pos)))
+    match bad_name {
+        Some(err) => Err(err),
+        None => Ok((name, next_after.unwrap_or(pos))),
+    }
 }
 
 #[cfg(test)]
@@ -544,6 +553,21 @@ mod tests {
         let back = Message::decode(&wire).unwrap();
         assert_eq!(back.answers.len(), 4);
         assert!(back.answers.iter().all(|r| r.name == pool()));
+    }
+
+    #[test]
+    fn compression_matches_labels_not_their_dotted_text() {
+        // `a.b` + `c` and `a` + `b` + `c` print alike but are different
+        // names: the second must not point at the first.
+        let dotted = Name::from_labels(["a.b", "c"]).unwrap();
+        let plain = Name::from_labels(["a", "b", "c"]).unwrap();
+        let mut m = Message::query(1, dotted.clone(), RecordType::A, false);
+        m.header.qr = true;
+        m.answers.push(Record::a(plain.clone(), 60, Ipv4Addr::new(192, 0, 2, 1)));
+        let back = Message::decode(&m.encode().unwrap()).unwrap();
+        assert_eq!(back.questions[0].name, dotted);
+        assert_eq!(back.answers[0].name, plain);
+        assert_eq!(back.answers[0].name.label_count(), 3);
     }
 
     #[test]

@@ -114,16 +114,17 @@ impl Zone {
 
     /// The zone's NS records at the apex.
     pub fn ns_records(&self) -> &[Record] {
-        self.lookup(&self.origin.clone(), RecordType::Ns)
+        self.lookup(&self.origin, RecordType::Ns)
     }
 
     /// Glue A records for every apex NS target.
     pub fn glue_records(&self) -> Vec<Record> {
-        self.ns_records()
-            .iter()
-            .filter_map(Record::as_ns)
-            .flat_map(|target| self.lookup(target, RecordType::A).to_vec())
-            .collect()
+        let ns = self.ns_records();
+        let mut glue = Vec::with_capacity(ns.len());
+        for target in ns.iter().filter_map(Record::as_ns) {
+            glue.extend_from_slice(self.lookup(target, RecordType::A));
+        }
+        glue
     }
 }
 

@@ -51,14 +51,14 @@ impl FragmentingNs {
 
     /// Classifies a query name: returns the behaviour label (second-level
     /// label under the zone, or the first label for `sigfail`/`sigright`).
-    fn kind_of(&self, qname: &Name) -> Option<String> {
+    fn kind_of<'q>(&self, qname: &'q Name) -> Option<&'q str> {
         if !qname.is_subdomain_of(&self.zone) {
             return None;
         }
         let extra = qname.label_count() - self.zone.label_count();
         match extra {
-            1 => Some(qname.labels()[0].clone()), // sigfail / sigright
-            2 => Some(qname.labels()[1].clone()), // T.<kind>
+            1 => qname.labels().next(), // sigfail / sigright
+            2 => qname.labels().nth(1), // T.<kind>
             _ => None,
         }
     }
@@ -109,7 +109,7 @@ impl Host for FragmentingNs {
         }
         let Some(q) = query.question() else { return };
         let Some(kind) = self.kind_of(&q.name) else { return };
-        let Some(resp) = self.build_answer(&query, &kind) else { return };
+        let Some(resp) = self.build_answer(&query, kind) else { return };
         self.queries += 1;
         let Ok(dns_bytes) = resp.encode() else { return };
         let Ok(udp) = UdpDatagram::new(DNS_PORT, d.src_port, dns_bytes).encode(ctx.addr(), d.src)

@@ -82,8 +82,8 @@ impl Host for SmtpServer {
 /// token under `scan.example`.
 #[derive(Debug, Default)]
 struct LoggingNs {
-    /// token label -> querying resolver address.
-    seen: FastMap<String, Ipv4Addr>,
+    /// token label (as a one-label name) -> querying resolver address.
+    seen: FastMap<Name, Ipv4Addr>,
 }
 
 impl Host for LoggingNs {
@@ -96,8 +96,8 @@ impl Host for LoggingNs {
             return;
         }
         let Some(q) = query.question() else { return };
-        if let Some(token) = q.name.labels().first() {
-            self.seen.insert(token.clone(), d.src);
+        if let Some(Ok(token)) = q.name.labels().next().map(|t| Name::from_labels([t])) {
+            self.seen.insert(token, d.src);
         }
         let mut resp = Message::response_to(&query);
         resp.header.aa = true;
@@ -261,7 +261,7 @@ pub fn run_scan(population: &[SharedResolverSpec], seed: u64) -> SharedScanResul
     let smtp_shared: FastSet<Ipv4Addr> = log
         .seen
         .iter()
-        .filter(|(token, _)| token.starts_with("mail"))
+        .filter(|(token, _)| token.labels().next().is_some_and(|t| t.starts_with("mail")))
         .map(|(_, &resolver)| resolver)
         .collect();
     let open: FastSet<Ipv4Addr> = scanner.open_found.iter().copied().collect();

@@ -329,3 +329,125 @@ proptest! {
         check_ntp(&mutate(control_wire(&peers), &edits))?;
     }
 }
+
+/// The reference model of a name: what `Name` stored before it went wire
+/// form — each label lossily converted to UTF-8 and lower-cased — with
+/// the same validity rule (labels of 1..=63 bytes, at most 255 wire bytes).
+fn model_name(raw: &[Vec<u8>]) -> Option<Vec<String>> {
+    let labels: Vec<String> =
+        raw.iter().map(|l| String::from_utf8_lossy(l).to_ascii_lowercase()).collect();
+    let wire_len = 1 + labels.iter().map(|l| 1 + l.len()).sum::<usize>();
+    let valid = labels.iter().all(|l| (1..=63).contains(&l.len())) && wire_len <= 255;
+    valid.then_some(labels)
+}
+
+/// Shapes raw generated bytes into labels: mostly mixed-case letters,
+/// digits and hyphens, sometimes raw bytes (rarely valid UTF-8).
+fn shape_labels(raw: Vec<(u8, Vec<u8>)>) -> Vec<Vec<u8>> {
+    const ALPHABET: &[u8] = b"aAbBcCxXyYzZ09-_";
+    raw.into_iter()
+        .map(|(kind, bytes)| match kind % 4 {
+            0 => bytes,
+            _ => bytes.iter().map(|b| ALPHABET[usize::from(*b) % ALPHABET.len()]).collect(),
+        })
+        .collect()
+}
+
+fn build_name(raw: &[Vec<u8>]) -> Result<Name, DnsError> {
+    let mut name = Name::root();
+    for label in raw {
+        name.push_label(label)?;
+    }
+    Ok(name)
+}
+
+fn fast_hash<T: std::hash::Hash + ?Sized>(value: &T) -> u64 {
+    use std::hash::BuildHasher;
+    std::hash::BuildHasherDefault::<netsim::fasthash::FastHasher>::default().hash_one(value)
+}
+
+/// Raw label bytes of `1..max_len` bytes.
+fn label_bytes(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
+    proptest::collection::vec(any::<u8>(), 1..max_len)
+}
+
+fn labels_of(name: &Name) -> Vec<String> {
+    name.labels().map(str::to_owned).collect()
+}
+
+proptest! {
+    /// `Name` agrees with its `Vec<String>` model on validity, labels,
+    /// text, equality, order and `FastHasher` hash — the contract that
+    /// keeps map iteration order and campaign digests unchanged — across
+    /// mixed case, non-UTF-8 bytes and names past the inline capacity.
+    #[test]
+    fn name_matches_label_vector_model(
+        raw_a in proptest::collection::vec((any::<u8>(), label_bytes(64)), 0..9),
+        raw_b in proptest::collection::vec((any::<u8>(), label_bytes(40)), 0..9),
+        child_label in "[a-zA-Z0-9-]{1,70}",
+        cut in any::<usize>(),
+    ) {
+        let raw_a = shape_labels(raw_a);
+        let raw_b = shape_labels(raw_b);
+        let built = build_name(&raw_a);
+        let Some(ma) = model_name(&raw_a) else {
+            prop_assert!(built.is_err(), "model rejects {:?}", raw_a);
+            return Ok(());
+        };
+        let a = built.expect("model accepts");
+        prop_assert_eq!(labels_of(&a), ma.clone());
+        prop_assert_eq!(a.label_count(), ma.len());
+        prop_assert_eq!(a.wire_len(), 1 + ma.iter().map(|l| 1 + l.len()).sum::<usize>());
+        let text = if ma.is_empty() { ".".to_string() } else { ma.join(".") };
+        prop_assert_eq!(a.to_string(), text);
+        prop_assert_eq!(fast_hash(&a), fast_hash(&ma));
+        prop_assert_eq!(Name::from_labels(&ma).expect("model labels are valid"), a.clone());
+
+        // Case folding: the upper-cased spelling is the same name.
+        let upper: Vec<Vec<u8>> = raw_a.iter().map(|l| l.to_ascii_uppercase()).collect();
+        let a_upper = build_name(&upper).expect("same lengths as a");
+        prop_assert_eq!(&a_upper, &a);
+        prop_assert_eq!(fast_hash(&a_upper), fast_hash(&a));
+
+        if let (Ok(b), Some(mb)) = (build_name(&raw_b), model_name(&raw_b)) {
+            prop_assert_eq!(a == b, ma == mb);
+            prop_assert_eq!(a.cmp(&b), ma.cmp(&mb));
+            prop_assert_eq!(fast_hash(&b), fast_hash(&mb));
+            let model_sub = mb.len() <= ma.len() && ma[ma.len() - mb.len()..] == mb[..];
+            prop_assert_eq!(a.is_subdomain_of(&b), model_sub);
+        }
+
+        // Suffixes: the parent chain and the subdomain relation.
+        let k = cut % (ma.len() + 1);
+        let suffix = Name::from_labels(&ma[k..]).expect("a suffix of a valid name");
+        prop_assert!(a.is_subdomain_of(&suffix));
+        prop_assert_eq!(suffix.is_subdomain_of(&a), k == 0);
+        let model_parent = (!ma.is_empty()).then(|| ma[1..].to_vec());
+        prop_assert_eq!(a.parent().map(|p| labels_of(&p)), model_parent);
+        let chain: Vec<Vec<String>> = a.self_and_ancestors().map(|n| labels_of(&n)).collect();
+        let model_chain: Vec<Vec<String>> = (0..=ma.len()).map(|k| ma[k..].to_vec()).collect();
+        prop_assert_eq!(chain, model_chain);
+
+        // Children validate exactly like a fresh label vector.
+        let mut model_child = vec![child_label.to_ascii_lowercase()];
+        model_child.extend(ma.iter().cloned());
+        let model_child: Vec<Vec<u8>> = model_child.iter().map(|l| l.as_bytes().to_vec()).collect();
+        let model_child = model_name(&model_child);
+        let child = a.child(&child_label);
+        prop_assert_eq!(child.as_ref().ok().map(labels_of), model_child);
+        if let Ok(child) = &child {
+            prop_assert_eq!(child.parent(), Some(a.clone()));
+        }
+
+        // Long names survive the codec, compressed against each other.
+        let mut msg = Message::query(7, a.clone(), RecordType::A, false);
+        msg.header.qr = true;
+        msg.answers.push(Record::a(a.clone(), 60, std::net::Ipv4Addr::new(192, 0, 2, 1)));
+        msg.authorities.push(Record::ns(suffix.clone(), 60, a.clone()));
+        if let Ok(child) = child {
+            msg.additionals.push(Record::a(child, 60, std::net::Ipv4Addr::new(192, 0, 2, 2)));
+        }
+        let back = Message::decode(&msg.encode().expect("encodes")).expect("decodes");
+        prop_assert_eq!(back, msg);
+    }
+}
